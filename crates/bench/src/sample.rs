@@ -18,7 +18,7 @@
 //! so a sampled run does at most a fifth of the cycle-level work.
 
 use carf_isa::{DecodedProgram, ExecError, ExecObserver, Machine, NullObserver, Program};
-use carf_sim::{AnySimulator, SimConfig, SimStats, WarmEvent, WarmState};
+use carf_sim::{AnySimulator, SimConfig, SimStats, WarmState};
 use carf_workloads::Workload;
 
 use crate::Budget;
@@ -69,12 +69,18 @@ impl SampleSpec {
                 .ok_or_else(|| format!("`--sample` {name} expects a positive integer, got `{v}`"))
         };
         let out = Self { interval: num("interval", i)?, period: num("period", p)?, warmup: num("warmup", w)? };
-        if out.warmup >= out.interval * (out.period - 1).max(1) {
+        if out.interval.checked_mul(out.period).is_none() {
+            return Err(format!(
+                "`--sample` interval × period ({} × {}) overflows 64 bits",
+                out.interval, out.period
+            ));
+        }
+        let gap = out.interval * (out.period - 1).max(1);
+        if out.warmup >= gap {
             return Err(format!(
                 "`--sample` warm-up ({}) must be shorter than the gap between \
-                 measured intervals ({})",
-                out.warmup,
-                out.interval * (out.period - 1).max(1)
+                 measured intervals ({gap})",
+                out.warmup
             ));
         }
         Ok(out)
@@ -82,7 +88,9 @@ impl SampleSpec {
 
     /// Upper bound on the fraction of instructions simulated cycle-level.
     pub fn detail_bound(&self) -> f64 {
-        (self.warmup + self.interval) as f64 / (self.period * self.interval) as f64
+        // In floating point: a spec built by hand (not parsed) may have
+        // a product or sum past `u64::MAX`.
+        (self.warmup as f64 + self.interval as f64) / (self.period as f64 * self.interval as f64)
     }
 
     /// A compact `I/P/W` tag for report headers.
@@ -216,46 +224,6 @@ fn fast_forward(
     }
 }
 
-/// Streams the decoded executor's event channel into a persistent
-/// [`WarmState`] — the functional-warming hookup.
-///
-/// Without warming, every measured interval starts from cold caches and
-/// a cold branch predictor, and the detailed warm-up window (thousands
-/// of instructions) cannot rebuild a working set that took hundreds of
-/// thousands of instructions to form: sampled IPC comes out 20–60% low
-/// on cache-resident kernels. The warm state is fed the *entire*
-/// fast-forwarded stream (not just the stretch since the last window) so
-/// large, sparsely revisited footprints accumulate the same way they do
-/// in a straight-through run; each measured interval's simulator gets a
-/// clone of it via [`AnySimulator::install_warm_state`].
-struct WarmSink<'a>(&'a mut WarmState);
-
-impl ExecObserver for WarmSink<'_> {
-    fn retire(&mut self, pc: u64) {
-        self.0.apply(WarmEvent::Fetch { pc });
-    }
-
-    fn load(&mut self, addr: u64) {
-        self.0.apply(WarmEvent::Data { addr, is_write: false });
-    }
-
-    fn store(&mut self, addr: u64) {
-        self.0.apply(WarmEvent::Data { addr, is_write: true });
-    }
-
-    fn cond_branch(&mut self, pc: u64, taken: bool) {
-        self.0.apply(WarmEvent::CondBranch { pc, taken });
-    }
-
-    fn indirect_jump(&mut self, pc: u64, target: u64, is_return: bool) {
-        self.0.apply(WarmEvent::IndirectJump { pc, target, is_return });
-    }
-
-    fn call(&mut self, return_addr: u64) {
-        self.0.apply(WarmEvent::Call { return_addr });
-    }
-}
-
 /// Adds the `after - before` window of every monotonic counter to `agg`.
 fn add_window_delta(agg: &mut SimStats, before: &SimStats, after: &SimStats) {
     macro_rules! add {
@@ -321,6 +289,10 @@ pub fn run_program_sampled(
 ) -> Result<SampledRun, String> {
     let decoded = DecodedProgram::decode(program);
     let mut m = Machine::load(program);
+    // Functional warming: every fast-forward leg streams its retired
+    // instructions into one persistent warm state, cloned into each
+    // measured window's simulator. Without it every window starts cold
+    // and sampled IPC comes out 20–60% low on cache-resident kernels.
     let mut warm = WarmState::new(config);
     let mut agg = SimStats::default();
     let mut intervals = Vec::new();
@@ -330,14 +302,14 @@ pub fn run_program_sampled(
 
     let mut index = 0u64;
     loop {
-        let start = index * spec.interval;
+        let start = index.saturating_mul(spec.interval);
         if start >= max_insts || m.is_halted() {
             break;
         }
         if index.is_multiple_of(spec.period) {
-            let end = (start + spec.interval).min(max_insts);
+            let end = start.saturating_add(spec.interval).min(max_insts);
             let warm_start = start.saturating_sub(spec.warmup);
-            fast_forward(&mut m, &decoded, warm_start, &mut WarmSink(&mut warm))?;
+            fast_forward(&mut m, &decoded, warm_start, &mut warm)?;
             if m.retired() < warm_start {
                 break; // program ended before this interval
             }
@@ -417,6 +389,32 @@ mod tests {
         // Warm-up longer than the gap between measured intervals would
         // make windows overlap.
         assert!(SampleSpec::parse("1000/2/1000").is_err());
+        // Interval × period past u64::MAX is an error, not a panic or a
+        // wrapped gap.
+        for spec in [
+            "9223372036854775808/3/1",
+            "4294967296/4294967297/1",
+            "18446744073709551615/2/1",
+        ] {
+            let err = SampleSpec::parse(spec).unwrap_err();
+            assert!(err.starts_with("`--sample`"), "{spec}: {err}");
+        }
+        let huge = SampleSpec { interval: u64::MAX, period: u64::MAX, warmup: u64::MAX };
+        assert!(huge.detail_bound().is_finite());
+    }
+
+    /// A hand-built spec with interval × period past `u64::MAX` ends the
+    /// run after its first window instead of overflowing the window
+    /// arithmetic.
+    #[test]
+    fn oversized_hand_built_spec_does_not_overflow() {
+        let spec = SampleSpec { interval: (1 << 63) + 1, period: 3, warmup: 1 };
+        let config = carf_sim::SimConfig::test_small();
+        let w = &carf_workloads::int_suite()[3];
+        let program = w.build(w.size(SizeClass::Test));
+        let run = run_program_sampled(&config, &program, &spec, u64::MAX).unwrap();
+        assert_eq!(run.intervals.len(), 1);
+        assert_eq!(run.intervals[0].committed, run.total_insts);
     }
 
     #[test]
@@ -520,5 +518,43 @@ mod tests {
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.intervals.len(), b.intervals.len());
         assert_eq!(a.total_insts, b.total_insts);
+    }
+
+    /// Pins sampled output across commits: four int kernels under all
+    /// four backends, each run's windowed statistics (in the cache/wire
+    /// encoding), intervals and instruction total folded to one FNV-1a
+    /// word. A change to fast-forward, warming or the cache models that
+    /// moves any sampled number fails here.
+    #[test]
+    fn sampled_output_is_pinned() {
+        const PINNED: u64 = 0x35c8_18a4_562c_c1b8;
+        fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+            for b in bytes {
+                h = (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            h
+        }
+        let spec = SampleSpec { interval: 1_000, period: 4, warmup: 500 };
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in carf_workloads::int_suite().iter().take(4) {
+            let program = w.build(w.size(SizeClass::Test));
+            for (label, paper) in crate::cli::MachineSet::All.configs() {
+                // The paper's caches, and tiny ones that force evictions
+                // and dirty write-backs during warming.
+                let tiny = SimConfig { hierarchy: carf_mem::HierarchyConfig::tiny(), ..paper.clone() };
+                for config in [paper, tiny] {
+                    let run = run_program_sampled(&config, &program, &spec, 24_000)
+                        .unwrap_or_else(|e| panic!("{} on {label}: {e}", w.name));
+                    h = fnv(h, crate::statsio::stats_to_json(&run.stats).as_bytes());
+                    for s in &run.intervals {
+                        for v in [s.index, s.start, s.committed, s.cycles] {
+                            h = fnv(h, &v.to_le_bytes());
+                        }
+                    }
+                    h = fnv(h, &run.total_insts.to_le_bytes());
+                }
+            }
+        }
+        assert_eq!(h, PINNED, "sampled output drifted: {h:#018x}");
     }
 }

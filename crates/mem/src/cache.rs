@@ -95,6 +95,13 @@ struct Way {
 /// lookup, fills on miss, and reports whether a dirty victim was evicted so
 /// a hierarchy can charge the write-back.
 ///
+/// The tag array is one set-major vector (set `s` owns ways
+/// `s * assoc .. (s + 1) * assoc`), so a clone is a single copy. A memo of
+/// the most recently accessed line short-cuts the common repeat access
+/// (consecutive fetches from one line): that line is always resident and
+/// holds the newest stamp, so touching it again needs no set search and
+/// leaves LRU order, victims and statistics exactly as the search would.
+///
 /// # Example
 ///
 /// ```
@@ -107,11 +114,16 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// Every way of every set, set-major.
+    ways: Vec<Way>,
     stats: CacheStats,
     clock: u64,
     offset_bits: u32,
     index_bits: u32,
+    /// Line number (address without offset bits) of the most recent
+    /// access and the index of its way in `ways`; cleared by
+    /// [`Cache::flush`].
+    last: Option<(u64, usize)>,
 }
 
 impl Cache {
@@ -133,11 +145,12 @@ impl Cache {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Self {
             config,
-            sets: vec![vec![Way::default(); config.assoc]; sets],
+            ways: vec![Way::default(); sets * config.assoc],
             stats: CacheStats::default(),
             clock: 0,
             offset_bits: config.line_bytes.trailing_zeros(),
             index_bits: sets.trailing_zeros(),
+            last: None,
         }
     }
 
@@ -156,11 +169,10 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    fn split(&self, addr: u64) -> (u64, usize) {
-        let line = addr >> self.offset_bits;
+    /// Splits a line number into its tag and set index.
+    fn split(&self, line: u64) -> (u64, usize) {
         let index = (line & ((1 << self.index_bits) - 1)) as usize;
-        let tag = line >> self.index_bits;
-        (tag, index)
+        (line >> self.index_bits, index)
     }
 
     fn line_base(&self, tag: u64, index: usize) -> u64 {
@@ -171,63 +183,75 @@ impl Cache {
     ///
     /// `is_write` marks the line dirty on a store. Returns the residency
     /// outcome, including the base address of any dirty victim.
+    #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> LineState {
-        self.clock += 1;
-        let (tag, index) = self.split(addr);
+        let line = addr >> self.offset_bits;
+        match self.last {
+            // The last line is resident with the newest stamp: re-stamping
+            // it is exactly what the set search would do on this hit.
+            Some((last, slot)) if last == line => {
+                self.clock += 1;
+                let way = &mut self.ways[slot];
+                way.stamp = self.clock;
+                way.dirty |= is_write;
+                self.stats.hits += 1;
+                LineState::Hit
+            }
+            _ => self.access_set(line, is_write),
+        }
+    }
 
-        if let Some(way) =
-            self.sets[index].iter_mut().find(|w| w.valid && w.tag == tag)
-        {
+    /// [`Cache::access`] by set search, for a line other than the last one.
+    #[inline(never)]
+    fn access_set(&mut self, line: u64, is_write: bool) -> LineState {
+        self.clock += 1;
+        let (tag, index) = self.split(line);
+        let first = index * self.config.assoc;
+        let set = &mut self.ways[first..first + self.config.assoc];
+
+        if let Some(i) = set.iter().position(|w| w.valid && w.tag == tag) {
+            let way = &mut set[i];
             way.stamp = self.clock;
             way.dirty |= is_write;
             self.stats.hits += 1;
+            self.last = Some((line, first + i));
             return LineState::Hit;
         }
 
         self.stats.misses += 1;
         // Victim: an invalid way if any, else the least recently used.
-        let victim = match self.sets[index].iter().position(|w| !w.valid) {
+        let victim = match set.iter().position(|w| !w.valid) {
             Some(i) => i,
-            None => self.sets[index]
+            None => set
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, w)| w.stamp)
                 .map(|(i, _)| i)
                 .expect("set has at least one way"),
         };
-        let evicted = {
-            let w = self.sets[index][victim];
-            if w.valid && w.dirty {
-                Some(self.line_base(w.tag, index))
-            } else {
-                None
-            }
-        };
-        self.sets[index][victim] =
-            Way { tag, valid: true, dirty: is_write, stamp: self.clock };
-        match evicted {
-            Some(base) => {
-                self.stats.writebacks += 1;
-                LineState::MissDirtyEviction(base)
-            }
-            None => LineState::Miss,
+        let old = set[victim];
+        set[victim] = Way { tag, valid: true, dirty: is_write, stamp: self.clock };
+        self.last = Some((line, first + victim));
+        if old.valid && old.dirty {
+            self.stats.writebacks += 1;
+            LineState::MissDirtyEviction(self.line_base(old.tag, index))
+        } else {
+            LineState::Miss
         }
     }
 
     /// Returns `true` if the line containing `addr` is resident, without
     /// touching LRU state or statistics.
     pub fn probe(&self, addr: u64) -> bool {
-        let (tag, index) = self.split(addr);
-        self.sets[index].iter().any(|w| w.valid && w.tag == tag)
+        let (tag, index) = self.split(addr >> self.offset_bits);
+        let first = index * self.config.assoc;
+        self.ways[first..first + self.config.assoc].iter().any(|w| w.valid && w.tag == tag)
     }
 
     /// Invalidates every line and clears dirtiness (statistics survive).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                *way = Way::default();
-            }
-        }
+        self.ways.fill(Way::default());
+        self.last = None;
     }
 }
 
@@ -297,6 +321,22 @@ mod tests {
         c.access(0x00, true); // dirty it via a write hit
         c.access(0x20, false);
         assert!(matches!(c.access(0x40, false), LineState::MissDirtyEviction(0x00)));
+    }
+
+    #[test]
+    fn repeat_access_keeps_lru_dirt_and_counts() {
+        let mut c = tiny();
+        c.access(0x00, false);
+        c.access(0x20, false); // 0x00 is LRU
+        assert_eq!(c.access(0x28, true), LineState::Hit); // memo: dirties 0x20
+        assert_eq!(c.access(0x24, false), LineState::Hit); // memo: stays dirty
+        assert_eq!(c.stats().hits, 2);
+        c.access(0x40, false); // evicts 0x00, the clean LRU line
+        assert!(c.probe(0x20) && !c.probe(0x00));
+        // Evicts 0x20, dirtied by the memo hit.
+        assert_eq!(c.access(0x00, false), LineState::MissDirtyEviction(0x20));
+        assert_eq!(c.access(0x60, false), LineState::Miss); // evicts clean 0x40
+        assert_eq!(c.stats().writebacks, 1);
     }
 
     #[test]

@@ -167,6 +167,7 @@ impl MemoryHierarchy {
     }
 
     /// Latency in cycles of an instruction fetch at `addr`.
+    #[inline]
     pub fn fetch_latency(&mut self, addr: u64) -> u32 {
         let state = self.il1.access(addr, false);
         let mut latency = self.il1.config().latency;
@@ -181,6 +182,7 @@ impl MemoryHierarchy {
     ///
     /// Port availability is *not* checked here; call
     /// [`MemoryHierarchy::try_dl1_port`] first.
+    #[inline]
     pub fn data_access(&mut self, addr: u64, is_write: bool) -> u32 {
         let state = self.dl1.access(addr, is_write);
         let mut latency = self.dl1.config().latency;

@@ -1,10 +1,45 @@
 //! Sparse, paged 64-bit physical memory.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
+
+/// Hashes page numbers for the page table. Every functional load and
+/// store looks its page up, so the hash is one 64×64→128-bit multiply by
+/// an odd constant, with the high half of the product and then the high
+/// word of the result folded into the low bits. The table picks buckets
+/// from the low bits, where the product alone is zero for a page number
+/// that is a multiple of a large power of two: without the folds, the
+/// pages of a strided walk would share a few buckets. The keys are the
+/// simulated program's own addresses, so a program built to collide
+/// slows only its own simulation.
+#[derive(Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let p = u128::from(self.0) * 0x9e37_79b9_7f4a_7c15;
+        let h = (p as u64) ^ ((p >> 64) as u64);
+        h ^ (h >> 32)
+    }
+}
+
+type PageTable = HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>;
 
 /// A sparsely allocated flat 64-bit address space.
 ///
@@ -27,7 +62,7 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 /// ```
 #[derive(Clone, Default)]
 pub struct SparseMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: PageTable,
 }
 
 impl SparseMemory {
@@ -256,6 +291,20 @@ impl std::fmt::Debug for MemoryDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn page_hash_spreads_strided_page_numbers() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<PageHasher>::default();
+        for k in 0..=20 {
+            let mut used = vec![false; 4096];
+            for i in 0..4096u64 {
+                used[(build.hash_one(i << k) & 4095) as usize] = true;
+            }
+            let spread = used.iter().filter(|u| **u).count();
+            assert!(spread >= 2048, "stride 2^{k}: {spread} of 4096 buckets");
+        }
+    }
 
     #[test]
     fn fresh_memory_reads_zero() {

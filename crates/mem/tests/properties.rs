@@ -1,11 +1,102 @@
 //! Property-based tests of the memory substrate.
 
-use carf_mem::{Cache, CacheConfig, MemoryHierarchy, HierarchyConfig, PortMeter, SparseMemory};
+use carf_mem::{
+    Cache, CacheConfig, CacheStats, HierarchyConfig, LineState, MemoryHierarchy, PortMeter,
+    SparseMemory,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
+/// A naive true-LRU write-back cache: per set, the resident lines with
+/// their dirty bits, most recently used first.
+struct LruModel {
+    line_bytes: u64,
+    assoc: usize,
+    sets: Vec<Vec<(u64, bool)>>,
+    stats: CacheStats,
+}
+
+impl LruModel {
+    fn new(config: CacheConfig) -> Self {
+        Self {
+            line_bytes: config.line_bytes as u64,
+            assoc: config.assoc,
+            sets: vec![Vec::new(); config.sets()],
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn set_of(&self, line: u64) -> usize {
+        (line % self.sets.len() as u64) as usize
+    }
+
+    fn access(&mut self, addr: u64, is_write: bool) -> LineState {
+        let line = addr / self.line_bytes;
+        let (assoc, line_bytes) = (self.assoc, self.line_bytes);
+        let idx = self.set_of(line);
+        let set = &mut self.sets[idx];
+        if let Some(pos) = set.iter().position(|(l, _)| *l == line) {
+            let (_, dirty) = set.remove(pos);
+            set.insert(0, (line, dirty || is_write));
+            self.stats.hits += 1;
+            return LineState::Hit;
+        }
+        self.stats.misses += 1;
+        let victim = if set.len() == assoc { set.pop() } else { None };
+        set.insert(0, (line, is_write));
+        match victim {
+            Some((v, true)) => {
+                self.stats.writebacks += 1;
+                LineState::MissDirtyEviction(v * line_bytes)
+            }
+            _ => LineState::Miss,
+        }
+    }
+
+    fn probe(&self, addr: u64) -> bool {
+        let line = addr / self.line_bytes;
+        self.sets[self.set_of(line)].iter().any(|(l, _)| *l == line)
+    }
+
+    fn flush(&mut self) {
+        self.sets.iter_mut().for_each(Vec::clear);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Cache` against [`LruModel`] on streams that mostly repeat the
+    /// last line (the memoized path), with fresh addresses that conflict
+    /// in a small cache, reads and writes, and occasional flushes.
+    #[test]
+    fn cache_matches_a_naive_lru_model(
+        assoc_log in 0usize..3,
+        ops in proptest::collection::vec((0u8..16, 0u64..(1 << 11), any::<bool>()), 1..300),
+    ) {
+        // 16-byte lines, 8 sets, 1 to 4 ways.
+        let assoc = 1 << assoc_log;
+        let config = CacheConfig { size_bytes: 128 * assoc, assoc, line_bytes: 16, latency: 1 };
+        let mut cache = Cache::new(config);
+        let mut model = LruModel::new(config);
+        let mut last = 0u64;
+        for (kind, fresh, is_write) in ops {
+            if kind == 15 {
+                cache.flush();
+                model.flush();
+                continue;
+            }
+            // Nine in fifteen accesses fall in the last line accessed.
+            let addr = if kind < 9 { (last & !15) | (fresh & 15) } else { fresh };
+            last = addr;
+            prop_assert_eq!(cache.access(addr, is_write), model.access(addr, is_write));
+            prop_assert_eq!(*cache.stats(), model.stats);
+            prop_assert_eq!(cache.probe(fresh), model.probe(fresh));
+        }
+        for addr in (0..1 << 11).step_by(16) {
+            prop_assert_eq!(cache.probe(addr), model.probe(addr));
+        }
+    }
 
     #[test]
     fn sparse_memory_matches_a_hashmap_model(

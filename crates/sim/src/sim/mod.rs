@@ -47,7 +47,9 @@ use carf_isa::semantics::{
     eval_branch, eval_fp_alu, eval_fp_to_int, eval_int_alu, eval_int_to_fp, extend_load,
     load_width, store_bytes, store_width, LoadWidth,
 };
-use carf_isa::{Checkpoint, Inst, InstKind, Machine, Opcode, Program, StepOutcome, INST_BYTES};
+use carf_isa::{
+    Checkpoint, ExecObserver, Inst, InstKind, Machine, Opcode, Program, StepOutcome, INST_BYTES,
+};
 use carf_mem::{MemoryHierarchy, PortMeter, SparseMemory};
 
 use crate::bpred::{BranchPredictor, CondPrediction};
@@ -505,10 +507,11 @@ impl RegFileBackend for PortReducedRegFile {
     }
 }
 
-/// One event of a fast-forwarded (functionally executed) region, replayed
-/// through [`Simulator::warm`] to bring cold cache and branch-predictor
-/// state up to date before a measured interval. Produced by an
-/// [`carf_isa::ExecObserver`] wired into the decoded fast-forward loop.
+/// One event of a fast-forwarded (functionally executed) region, applied
+/// with [`WarmState::apply`] to bring cold cache and branch-predictor
+/// state up to date before a measured interval. Each variant is one
+/// [`ExecObserver`] hook; a warm state used directly as the fast-forward
+/// observer takes the same effects without building events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarmEvent {
     /// An instruction fetch at `pc` (IL1 path).
@@ -576,26 +579,56 @@ impl WarmState {
 
     /// Applies one fast-forwarded event: a cache access down the
     /// hierarchy, or a predict/train round of the branch predictor.
+    #[inline]
     pub fn apply(&mut self, event: WarmEvent) {
         match event {
-            WarmEvent::Fetch { pc } => {
-                self.hier.fetch_latency(pc);
-            }
-            WarmEvent::Data { addr, is_write } => {
-                self.hier.data_access(addr, is_write);
-            }
-            WarmEvent::CondBranch { pc, taken } => {
-                let pred = self.bpred.predict_cond(pc);
-                self.bpred.resolve_cond(pred, taken);
-            }
+            WarmEvent::Fetch { pc } => self.retire(pc),
+            WarmEvent::Data { addr, is_write: false } => self.load(addr),
+            WarmEvent::Data { addr, is_write: true } => self.store(addr),
+            WarmEvent::CondBranch { pc, taken } => self.cond_branch(pc, taken),
             WarmEvent::IndirectJump { pc, target, is_return } => {
-                let predicted = self.bpred.predict_indirect(pc, is_return);
-                self.bpred.resolve_indirect(pc, target, predicted != target);
+                self.indirect_jump(pc, target, is_return);
             }
-            WarmEvent::Call { return_addr } => {
-                self.bpred.push_return(return_addr);
-            }
+            WarmEvent::Call { return_addr } => self.call(return_addr),
         }
+    }
+}
+
+/// The functional-warming hookup: a fast-forward leg run with the warm
+/// state as its observer (`run_decoded_with(.., &mut warm)`) streams
+/// every retired instruction's fetch, data accesses and control-flow
+/// outcomes into it, in program order. Each hook is the matching
+/// [`WarmEvent`]'s effect. The memory hooks are `#[inline]` down to the
+/// caches' last-line memo, so an IL1 fetch from the line of the fetch
+/// before runs in the fast-forward loop with no set search.
+impl ExecObserver for WarmState {
+    #[inline]
+    fn retire(&mut self, pc: u64) {
+        self.hier.fetch_latency(pc);
+    }
+
+    #[inline]
+    fn load(&mut self, addr: u64) {
+        self.hier.data_access(addr, false);
+    }
+
+    #[inline]
+    fn store(&mut self, addr: u64) {
+        self.hier.data_access(addr, true);
+    }
+
+    fn cond_branch(&mut self, pc: u64, taken: bool) {
+        let pred = self.bpred.predict_cond(pc);
+        self.bpred.resolve_cond(pred, taken);
+    }
+
+    fn indirect_jump(&mut self, pc: u64, target: u64, is_return: bool) {
+        let predicted = self.bpred.predict_indirect(pc, is_return);
+        self.bpred.resolve_indirect(pc, target, predicted != target);
+    }
+
+    fn call(&mut self, return_addr: u64) {
+        self.bpred.push_return(return_addr);
     }
 }
 

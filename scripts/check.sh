@@ -13,6 +13,11 @@ cargo test -q
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> perfbench build and tests"
+# The benchmark is a workspace of its own, built against crates/ by path:
+# this is the step that notices a library API change breaking it.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> carf-trace smoke test"
 # One traced point end to end: exercises the tracer hooks, the stall
 # attribution invariant (the binary exits non-zero if the buckets do not
