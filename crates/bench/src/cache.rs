@@ -26,7 +26,7 @@
 //!   simulated: CI uses this to prove a warm re-run does zero simulation.
 
 use crate::fsio::{atomic_write, FileLock};
-use crate::parallel::{self, json_field};
+use crate::parallel::{self, JsonFields};
 use crate::sample::SampleSpec;
 use crate::statsio::{stats_from_json, stats_to_json, STATS_CODEC_VERSION};
 use crate::{Budget, SuiteResult};
@@ -273,11 +273,25 @@ impl ResultCache {
     /// Looks up a simulation point. Any unreadable, mismatched, or
     /// stale-codec entry is a miss, never an error.
     pub fn load_point(&self, key: u128) -> Option<SimStats> {
+        self.read_entry(key, |entry| stats_from_json(entry.get("stats")?).ok())
+    }
+
+    /// Reads the entry file for `key` in one pass and hands its top-level
+    /// fields to `read`. `None` — a miss — unless the file is a complete
+    /// entry for this very key: entries are written as one
+    /// newline-terminated line, so a file without its final newline or
+    /// whose object does not close is torn, and an entry whose `key` field
+    /// names another key sits at the wrong address.
+    fn read_entry<R>(&self, key: u128, read: impl FnOnce(&JsonFields) -> Option<R>) -> Option<R> {
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        if json_field(&text, "key")? != format!("{key:032x}") {
+        if !text.ends_with('\n') {
             return None;
         }
-        stats_from_json(&json_field(&text, "stats")?).ok()
+        let entry = JsonFields::parse(&text)?;
+        if entry.get("key")? != format!("{key:032x}") {
+            return None;
+        }
+        read(&entry)
     }
 
     /// Stores a simulation point and records it in the index. Storage
@@ -305,11 +319,9 @@ impl ResultCache {
 
     /// Looks up a derived scalar (stored bit-exactly).
     pub fn load_derived(&self, key: u128) -> Option<f64> {
-        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        if json_field(&text, "key")? != format!("{key:032x}") {
-            return None;
-        }
-        json_field(&text, "value_bits")?.parse::<u64>().ok().map(f64::from_bits)
+        self.read_entry(key, |entry| {
+            entry.get("value_bits")?.parse::<u64>().ok().map(f64::from_bits)
+        })
     }
 
     /// Stores a derived scalar under its [`derived_key`].
@@ -490,13 +502,24 @@ pub fn run_custom_with_cache(
         }
     }
 
+    // Each point's address and workload identity, computed once for both
+    // the lookup and a cold point's store (a corpus workload's identity
+    // hashes its whole linked program).
+    let addresses: Vec<Option<(u128, String)>> = flat
+        .iter()
+        .map(|(pi, suite, w)| {
+            cache.map(|_| {
+                let identity = workload_identity(w);
+                (point_key(&points[*pi].0, *suite, &identity, budget), identity)
+            })
+        })
+        .collect();
+
     // Partition into served and to-simulate without losing the flat order.
     let mut runs: Vec<Option<(String, SimStats)>> = Vec::with_capacity(flat.len());
     let mut cold: Vec<usize> = Vec::new();
-    for (fi, (pi, suite, w)) in flat.iter().enumerate() {
-        let hit = cache.and_then(|c| {
-            c.load_point(point_key(&points[*pi].0, *suite, &workload_identity(w), budget))
-        });
+    for (fi, ((_, _, w), address)) in flat.iter().zip(&addresses).enumerate() {
+        let hit = cache.zip(address.as_ref()).and_then(|(c, (key, _))| c.load_point(*key));
         match hit {
             Some(stats) => runs.push(Some((w.name.to_string(), stats))),
             None => {
@@ -513,15 +536,9 @@ pub fn run_custom_with_cache(
         crate::run_workload_timed(&points[*pi].0, *suite, w, budget)
     });
     for (fi, run) in cold.iter().zip(fresh) {
-        let (pi, suite, w) = &flat[*fi];
-        if let Some(c) = cache {
-            c.store_point(
-                point_key(&points[*pi].0, *suite, &workload_identity(w), budget),
-                &format!("{suite:?}/{}", workload_identity(w)),
-                &points[*pi].0,
-                budget,
-                &run.1,
-            );
+        let (pi, suite, _) = &flat[*fi];
+        if let (Some(c), Some((key, identity))) = (cache, &addresses[*fi]) {
+            c.store_point(*key, &format!("{suite:?}/{identity}"), &points[*pi].0, budget, &run.1);
         }
         runs[*fi] = Some(run);
     }
@@ -669,14 +686,11 @@ impl ResultCache {
     /// Looks up a multi-context point: the per-context records, in
     /// context order. Unreadable or malformed entries are misses.
     pub fn load_multi(&self, key: u128) -> Option<Vec<MultiThreadRecord>> {
-        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        if json_field(&text, "key")? != format!("{key:032x}") {
-            return None;
-        }
-        let packed = json_field(&text, "threads")?;
-        let threads: Option<Vec<MultiThreadRecord>> =
-            packed.split(',').map(MultiThreadRecord::unpack).collect();
-        threads.filter(|t| !t.is_empty())
+        self.read_entry(key, |entry| {
+            let threads: Option<Vec<MultiThreadRecord>> =
+                entry.get("threads")?.split(',').map(MultiThreadRecord::unpack).collect();
+            threads.filter(|t| !t.is_empty())
+        })
     }
 
     /// Stores a multi-context point (indexed under the first context's
@@ -755,8 +769,10 @@ pub fn run_multi_with_cache(
     parallel::note_run_start();
     let mut results: Vec<Option<Vec<MultiThreadRecord>>> = Vec::with_capacity(points.len());
     let mut cold: Vec<usize> = Vec::new();
-    for (pi, point) in points.iter().enumerate() {
-        match cache.and_then(|c| c.load_multi(multi_key(point, budget))) {
+    let keys: Vec<Option<u128>> =
+        points.iter().map(|point| cache.map(|_| multi_key(point, budget))).collect();
+    for (pi, (point, key)) in points.iter().zip(&keys).enumerate() {
+        match cache.zip(*key).and_then(|(c, key)| c.load_multi(key)) {
             Some(threads) if threads.len() == point.contexts.len() => {
                 results.push(Some(threads));
             }
@@ -796,8 +812,8 @@ pub fn run_multi_with_cache(
             .collect::<Vec<_>>()
     });
     for (pi, threads) in cold.iter().zip(fresh) {
-        if let Some(c) = cache {
-            c.store_multi(multi_key(&points[*pi], budget), &points[*pi], budget, &threads);
+        if let (Some(c), Some(key)) = (cache, keys[*pi]) {
+            c.store_multi(key, &points[*pi], budget, &threads);
         }
         results[*pi] = Some(threads);
     }

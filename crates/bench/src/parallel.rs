@@ -229,52 +229,122 @@ fn skip_value(record: &str, start: usize) -> Option<usize> {
     }
 }
 
+/// One step of the walk over a record's top-level object.
+enum FieldStep<'a> {
+    /// A `"key": value` pair. String values come without their quotes
+    /// (escape sequences preserved), other values as their raw text; an
+    /// empty non-string value is `None`.
+    Field(&'a str, Option<&'a str>),
+    /// The object's closing brace.
+    End,
+    /// Anything else: the record is malformed from here on.
+    Malformed,
+}
+
+/// Reads the top-level field starting at or after `record[*i]` and moves
+/// `*i` past it. This is the workspace's one field scanner: nested
+/// objects, arrays and string contents are skipped with full string
+/// awareness, so a field name inside a nested record
+/// (`"points":[{"name":…}]`) or inside a string value is never a field.
+fn next_field<'a>(record: &'a str, i: &mut usize) -> FieldStep<'a> {
+    let bytes = record.as_bytes();
+    while *i < bytes.len() && (bytes[*i].is_ascii_whitespace() || bytes[*i] == b',') {
+        *i += 1;
+    }
+    match bytes.get(*i) {
+        Some(b'}') => {
+            *i += 1;
+            return FieldStep::End;
+        }
+        Some(b'"') => {}
+        _ => return FieldStep::Malformed,
+    }
+    let Some((key_start, key_end)) = scan_string(record, *i) else {
+        return FieldStep::Malformed;
+    };
+    let mut j = key_end + 1;
+    while j < bytes.len() && bytes[j].is_ascii_whitespace() {
+        j += 1;
+    }
+    if bytes.get(j) != Some(&b':') {
+        return FieldStep::Malformed;
+    }
+    j += 1;
+    while j < bytes.len() && bytes[j].is_ascii_whitespace() {
+        j += 1;
+    }
+    let Some(end) = skip_value(record, j) else {
+        return FieldStep::Malformed;
+    };
+    *i = end;
+    let key = &record[key_start..key_end];
+    let value = if bytes[j] == b'"' {
+        Some(&record[j + 1..end - 1])
+    } else {
+        Some(&record[j..end]).filter(|v| !v.is_empty())
+    };
+    FieldStep::Field(key, value)
+}
+
 /// Extracts the raw value of a top-level `"name": value` field from a
 /// single-line JSON record (`None` when absent). String values are returned
 /// without their quotes (escape sequences preserved); other values are
-/// returned as their raw text. The scanner walks the top-level object
-/// key-by-key, skipping nested objects, arrays, and string contents, so a
-/// field name that appears inside a nested record (`"points":[{"name":…}]`)
-/// or inside a string value never shadows — or stands in for — the
-/// top-level field.
+/// returned as their raw text. Nested objects, arrays and string contents
+/// are skipped whole, so a field name inside a nested record
+/// (`"points":[{"name":…}]`) or inside a string value never shadows — or
+/// stands in for — the top-level field. The first occurrence of `name`
+/// decides, and fields before a malformed point are still found.
 pub fn json_field(record: &str, name: &str) -> Option<String> {
-    let bytes = record.as_bytes();
     let mut i = record.find('{')? + 1;
     loop {
-        while i < bytes.len() && (bytes[i].is_ascii_whitespace() || bytes[i] == b',') {
-            i += 1;
+        match next_field(record, &mut i) {
+            FieldStep::Field(key, value) if key == name => return value.map(str::to_string),
+            FieldStep::Field(..) => {}
+            FieldStep::End | FieldStep::Malformed => return None,
         }
-        match bytes.get(i)? {
-            b'}' => return None, // end of the top-level object: field absent
-            b'"' => {
-                let (key_start, key_end) = scan_string(record, i)?;
-                i = key_end + 1;
-                while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                    i += 1;
-                }
-                if bytes.get(i) != Some(&b':') {
-                    return None; // malformed row: treat the field as absent
-                }
-                i += 1;
-                while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                    i += 1;
-                }
-                if i >= bytes.len() {
-                    return None;
-                }
-                if &record[key_start..key_end] == name {
-                    return if bytes[i] == b'"' {
-                        scan_string(record, i).map(|(s, e)| record[s..e].to_string())
-                    } else {
-                        let end = skip_value(record, i)?;
-                        let value = &record[i..end];
-                        (!value.is_empty()).then(|| value.to_string())
-                    };
-                }
-                i = skip_value(record, i)?;
+    }
+}
+
+/// A record's top-level fields, read in one pass of [`next_field`]: the
+/// table behind every multi-field read (a cache entry, a statistics
+/// record), where one [`json_field`] call per field would rescan the
+/// record from its first byte each time.
+pub(crate) struct JsonFields<'a> {
+    fields: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> JsonFields<'a> {
+    /// Walks the first top-level object in `record` (text before its
+    /// opening brace and after its closing brace is ignored, as
+    /// [`json_field`] ignores it). `None` unless the object is well formed
+    /// and closed: a truncated record yields no fields at all.
+    pub(crate) fn parse(record: &'a str) -> Option<Self> {
+        let mut i = record.find('{')? + 1;
+        // Room for a statistics record's 91 fields without regrowing.
+        let mut fields = Vec::with_capacity(96);
+        loop {
+            match next_field(record, &mut i) {
+                FieldStep::Field(key, value) => fields.push((key, value)),
+                FieldStep::End => return Some(Self { fields }),
+                FieldStep::Malformed => return None,
             }
-            _ => return None,
         }
+    }
+
+    /// The value of the first field named `name`, as [`json_field`] would
+    /// return it (borrowed instead of copied).
+    pub(crate) fn get(&self, name: &str) -> Option<&'a str> {
+        self.find(|key| key == name)
+    }
+
+    /// The value of the first field whose key satisfies `is_key`.
+    pub(crate) fn find(&self, is_key: impl Fn(&str) -> bool) -> Option<&'a str> {
+        self.fields.iter().find(|(key, _)| is_key(key)).and_then(|(_, value)| *value)
+    }
+
+    /// The fields in record order, duplicates included.
+    pub(crate) fn as_slice(&self) -> &[(&'a str, Option<&'a str>)] {
+        &self.fields
     }
 }
 
@@ -551,6 +621,48 @@ mod tests {
         assert_eq!(json_field(rec, "jobs").as_deref(), Some("4"));
         // Unterminated string: the row is malformed, every field absent.
         assert_eq!(json_field(r#"{"bin":"unterminated"#, "bin"), None);
+    }
+
+    #[test]
+    fn field_table_agrees_with_json_field() {
+        let records = [
+            r#"{"bin":"fig5_ipc_sweep","budget":"quick","jobs":8,"total_secs":1.234}"#,
+            r#"{"points":[{"bin":"inner","name":"Int/a"}],"bin":"outer"}"#,
+            r#"{"note":"see \"bin\" below, jobs: 9","bin":"real","jobs":2}"#,
+            r#"{"budget":"quick,odd}we:ird]","spec":"5000/8/2000","jobs":4}"#,
+            r#"  {  "a" : 1 ,, "b":"" , "a":2, "c":, "d":{"a":[1,"}"]}, "e":-0.5e3 }  trailing"#,
+        ];
+        for rec in records {
+            let table = JsonFields::parse(rec).unwrap_or_else(|| panic!("{rec} parses"));
+            for name in ["bin", "budget", "jobs", "total_secs", "points", "name", "note", "spec"]
+                .into_iter()
+                .chain(["a", "b", "c", "d", "e", "secs"])
+            {
+                assert_eq!(
+                    table.get(name).map(str::to_string),
+                    json_field(rec, name),
+                    "{rec} {name}"
+                );
+            }
+        }
+        let table = JsonFields::parse(records[4]).unwrap();
+        assert_eq!(table.get("a"), Some("1"), "first occurrence wins");
+        assert_eq!(table.get("b"), Some(""), "an empty string is a value");
+        assert_eq!(table.get("c"), None, "an empty scalar is absent");
+        assert_eq!(table.as_slice().len(), 6, "duplicates are kept in order");
+    }
+
+    #[test]
+    fn field_table_needs_a_closed_object() {
+        let rec = r#"{"bin":"a","points":[{"x":1}],"jobs":2}"#;
+        for cut in 0..rec.len() {
+            assert!(JsonFields::parse(&rec[..cut]).is_none(), "prefix {:?}", &rec[..cut]);
+        }
+        // `json_field` still finds the fields before the cut.
+        assert_eq!(json_field(&rec[..rec.len() - 1], "bin").as_deref(), Some("a"));
+        for bad in [r#"{"a" 1}"#, r#"{"a":1,2}"#, r#"{"a":"x}"#, r#"{"a":[1,2}"#, "no object"] {
+            assert!(JsonFields::parse(bad).is_none(), "{bad}");
+        }
     }
 
     #[test]

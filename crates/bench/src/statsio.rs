@@ -12,7 +12,7 @@
 //! compile error here until the codec learns about it, which is exactly
 //! when the cache salt in [`crate::cache`] must be bumped.
 
-use crate::parallel::json_field;
+use crate::parallel::JsonFields;
 use carf_core::analysis::{GroupAccumulator, NUM_GROUPS};
 use carf_core::{AccessStats, ClassCounts};
 use carf_mem::{CacheStats, HierarchyStats};
@@ -230,162 +230,227 @@ pub fn stats_to_json(stats: &SimStats) -> String {
     w.out
 }
 
-fn get_u64(rec: &str, key: &str) -> Result<u64, String> {
-    json_field(rec, key)
-        .ok_or_else(|| format!("missing field `{key}`"))?
-        .parse::<u64>()
-        .map_err(|e| format!("field `{key}`: {e}"))
-}
+/// A dotted field name given as its parts (`["int_rf", "reads", "simple"]`
+/// is `int_rf.reads.simple`), so nested getters match keys without
+/// formatting a `String` per field.
+type Name<'n> = &'n [&'n str];
 
-fn get_usize(rec: &str, key: &str) -> Result<usize, String> {
-    get_u64(rec, key).map(|v| v as usize)
-}
-
-fn get_f64_bits(rec: &str, key: &str) -> Result<f64, String> {
-    get_u64(rec, key).map(f64::from_bits)
-}
-
-fn get_u64_array(rec: &str, key: &str) -> Result<Vec<u64>, String> {
-    let raw = json_field(rec, key).ok_or_else(|| format!("missing field `{key}`"))?;
-    let body = raw
-        .trim()
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or_else(|| format!("field `{key}` is not an array: `{raw}`"))?;
-    let body = body.trim();
-    if body.is_empty() {
-        return Ok(Vec::new());
+fn key_is(key: &str, name: Name) -> bool {
+    let mut rest = key;
+    for (n, part) in name.iter().enumerate() {
+        if n > 0 {
+            let Some(r) = rest.strip_prefix('.') else { return false };
+            rest = r;
+        }
+        let Some(r) = rest.strip_prefix(part) else { return false };
+        rest = r;
     }
-    body.split(',')
-        .map(|v| v.trim().parse::<u64>().map_err(|e| format!("field `{key}`: {e}")))
-        .collect()
+    rest.is_empty()
 }
 
-fn get_class_counts(rec: &str, prefix: &str) -> Result<ClassCounts, String> {
-    Ok(ClassCounts {
-        simple: get_u64(rec, &format!("{prefix}.simple"))?,
-        short: get_u64(rec, &format!("{prefix}.short"))?,
-        long: get_u64(rec, &format!("{prefix}.long"))?,
-    })
+/// Reads a record's fields from its one-pass [`JsonFields`] table.
+///
+/// The getters ask for fields in [`stats_to_json`]'s order, so on a record
+/// the encoder wrote each field is the next one in the table and is taken
+/// with one key comparison. The first mismatch (fields reordered, an
+/// unknown or duplicated field in between) switches the reader for good to
+/// looking each field up by name from the start of the table. That keeps
+/// [`json_field`](crate::parallel::json_field)'s rule that the first
+/// occurrence of a key wins: the in-order cursor only ever passes over
+/// fields it has consumed, each under a different name.
+struct Reader<'a> {
+    fields: JsonFields<'a>,
+    next: usize,
+    in_order: bool,
 }
 
-fn get_access_stats(rec: &str, prefix: &str) -> Result<AccessStats, String> {
-    Ok(AccessStats {
-        reads: get_class_counts(rec, &format!("{prefix}.reads"))?,
-        writes: get_class_counts(rec, &format!("{prefix}.writes"))?,
-        total_reads: get_u64(rec, &format!("{prefix}.total_reads"))?,
-        total_writes: get_u64(rec, &format!("{prefix}.total_writes"))?,
-        long_write_stalls: get_u64(rec, &format!("{prefix}.long_write_stalls"))?,
-        short_allocs: get_u64(rec, &format!("{prefix}.short_allocs"))?,
-        short_alloc_rejects: get_u64(rec, &format!("{prefix}.short_alloc_rejects"))?,
-        short_reclaims: get_u64(rec, &format!("{prefix}.short_reclaims"))?,
-        long_allocs: get_u64(rec, &format!("{prefix}.long_allocs"))?,
-        long_releases: get_u64(rec, &format!("{prefix}.long_releases"))?,
-        capture_reuse_hits: get_u64(rec, &format!("{prefix}.capture_reuse_hits"))?,
-    })
-}
-
-fn get_cache_stats(rec: &str, prefix: &str) -> Result<CacheStats, String> {
-    Ok(CacheStats {
-        hits: get_u64(rec, &format!("{prefix}.hits"))?,
-        misses: get_u64(rec, &format!("{prefix}.misses"))?,
-        writebacks: get_u64(rec, &format!("{prefix}.writebacks"))?,
-    })
-}
-
-fn get_group(rec: &str, key: &str) -> Result<GroupAccumulator, String> {
-    let flat = get_u64_array(rec, key)?;
-    if flat.len() != NUM_GROUPS + 2 {
-        return Err(format!(
-            "field `{key}` expects {} elements, got {}",
-            NUM_GROUPS + 2,
-            flat.len()
-        ));
+impl<'a> Reader<'a> {
+    fn new(rec: &'a str) -> Result<Self, String> {
+        let fields = JsonFields::parse(rec).ok_or("malformed statistics record")?;
+        Ok(Self { fields, next: 0, in_order: true })
     }
-    let mut totals = [0u64; NUM_GROUPS];
-    totals.copy_from_slice(&flat[..NUM_GROUPS]);
-    Ok(GroupAccumulator::from_raw_parts(totals, flat[NUM_GROUPS], flat[NUM_GROUPS + 1]))
+
+    fn raw(&mut self, name: Name) -> Result<&'a str, String> {
+        if self.in_order {
+            match self.fields.as_slice().get(self.next) {
+                Some(&(key, value)) if key_is(key, name) => {
+                    self.next += 1;
+                    return value.ok_or_else(|| missing(name));
+                }
+                _ => self.in_order = false,
+            }
+        }
+        self.fields.find(|key| key_is(key, name)).ok_or_else(|| missing(name))
+    }
+
+    fn u64(&mut self, name: Name) -> Result<u64, String> {
+        let raw = self.raw(name)?;
+        raw.parse::<u64>().map_err(|e| format!("field `{}`: {e}", name.join(".")))
+    }
+
+    fn usize(&mut self, name: Name) -> Result<usize, String> {
+        self.u64(name).map(|v| v as usize)
+    }
+
+    fn f64_bits(&mut self, name: Name) -> Result<f64, String> {
+        self.u64(name).map(f64::from_bits)
+    }
+
+    fn u64_array(&mut self, name: Name) -> Result<Vec<u64>, String> {
+        let raw = self.raw(name)?;
+        let key = || name.join(".");
+        let body = raw
+            .trim()
+            .strip_prefix('[')
+            .and_then(|s| s.strip_suffix(']'))
+            .ok_or_else(|| format!("field `{}` is not an array: `{raw}`", key()))?;
+        let body = body.trim();
+        if body.is_empty() {
+            return Ok(Vec::new());
+        }
+        body.split(',')
+            .map(|v| v.trim().parse::<u64>().map_err(|e| format!("field `{}`: {e}", key())))
+            .collect()
+    }
+
+    fn class_counts(&mut self, prefix: &str, group: &str) -> Result<ClassCounts, String> {
+        Ok(ClassCounts {
+            simple: self.u64(&[prefix, group, "simple"])?,
+            short: self.u64(&[prefix, group, "short"])?,
+            long: self.u64(&[prefix, group, "long"])?,
+        })
+    }
+
+    fn access_stats(&mut self, prefix: &str) -> Result<AccessStats, String> {
+        Ok(AccessStats {
+            reads: self.class_counts(prefix, "reads")?,
+            writes: self.class_counts(prefix, "writes")?,
+            total_reads: self.u64(&[prefix, "total_reads"])?,
+            total_writes: self.u64(&[prefix, "total_writes"])?,
+            long_write_stalls: self.u64(&[prefix, "long_write_stalls"])?,
+            short_allocs: self.u64(&[prefix, "short_allocs"])?,
+            short_alloc_rejects: self.u64(&[prefix, "short_alloc_rejects"])?,
+            short_reclaims: self.u64(&[prefix, "short_reclaims"])?,
+            long_allocs: self.u64(&[prefix, "long_allocs"])?,
+            long_releases: self.u64(&[prefix, "long_releases"])?,
+            capture_reuse_hits: self.u64(&[prefix, "capture_reuse_hits"])?,
+        })
+    }
+
+    fn cache_stats(&mut self, level: &str) -> Result<CacheStats, String> {
+        Ok(CacheStats {
+            hits: self.u64(&["mem", level, "hits"])?,
+            misses: self.u64(&["mem", level, "misses"])?,
+            writebacks: self.u64(&["mem", level, "writebacks"])?,
+        })
+    }
+
+    fn group(&mut self, name: &str) -> Result<GroupAccumulator, String> {
+        let flat = self.u64_array(&["oracle", name])?;
+        if flat.len() != NUM_GROUPS + 2 {
+            return Err(format!(
+                "field `oracle.{name}` expects {} elements, got {}",
+                NUM_GROUPS + 2,
+                flat.len()
+            ));
+        }
+        let mut totals = [0u64; NUM_GROUPS];
+        totals.copy_from_slice(&flat[..NUM_GROUPS]);
+        Ok(GroupAccumulator::from_raw_parts(totals, flat[NUM_GROUPS], flat[NUM_GROUPS + 1]))
+    }
+
+    /// Every field of a [`SimStats`], in encoder order (a struct literal
+    /// evaluates its fields in the order written).
+    fn stats(&mut self) -> Result<SimStats, String> {
+        let v = self.u64(&["v"])?;
+        if v != STATS_CODEC_VERSION {
+            return Err(format!("codec version {v}, expected {STATS_CODEC_VERSION}"));
+        }
+        Ok(SimStats {
+            cycles: self.u64(&["cycles"])?,
+            committed: self.u64(&["committed"])?,
+            loads: self.u64(&["loads"])?,
+            stores: self.u64(&["stores"])?,
+            branches: self.u64(&["branches"])?,
+            fp_ops: self.u64(&["fp_ops"])?,
+            fetched: self.u64(&["fetched"])?,
+            squashed: self.u64(&["squashed"])?,
+            mispredicts: self.u64(&["mispredicts"])?,
+            deadlock_recoveries: self.u64(&["deadlock_recoveries"])?,
+            long_guard_stall_cycles: self.u64(&["long_guard_stall_cycles"])?,
+            bypassed_operands: self.u64(&["bypassed_operands"])?,
+            rf_operands: self.u64(&["rf_operands"])?,
+            zero_operands: self.u64(&["zero_operands"])?,
+            wb_long_retries: self.u64(&["wb_long_retries"])?,
+            load_replays: self.u64(&["load_replays"])?,
+            mem_dep_violations: self.u64(&["mem_dep_violations"])?,
+            dispatch_stalls: DispatchStalls {
+                rob: self.u64(&["dispatch_stalls", "rob"])?,
+                pregs: self.u64(&["dispatch_stalls", "pregs"])?,
+                lsq: self.u64(&["dispatch_stalls", "lsq"])?,
+                iq: self.u64(&["dispatch_stalls", "iq"])?,
+                checkpoints: self.u64(&["dispatch_stalls", "checkpoints"])?,
+            },
+            operand_mix: OperandMix {
+                only_simple: self.u64(&["operand_mix", "only_simple"])?,
+                only_short: self.u64(&["operand_mix", "only_short"])?,
+                only_long: self.u64(&["operand_mix", "only_long"])?,
+                simple_short: self.u64(&["operand_mix", "simple_short"])?,
+                simple_long: self.u64(&["operand_mix", "simple_long"])?,
+                short_long: self.u64(&["operand_mix", "short_long"])?,
+            },
+            oracle: OracleData {
+                values: self.group("values")?,
+                sim_d8: self.group("sim_d8")?,
+                sim_d12: self.group("sim_d12")?,
+                sim_d16: self.group("sim_d16")?,
+                live_sum: self.u64(&["oracle", "live_sum"])?,
+                snapshots: self.u64(&["oracle", "snapshots"])?,
+            },
+            bpred: BpredStats {
+                cond_predictions: self.u64(&["bpred", "cond_predictions"])?,
+                cond_mispredicts: self.u64(&["bpred", "cond_mispredicts"])?,
+                indirect_predictions: self.u64(&["bpred", "indirect_predictions"])?,
+                indirect_mispredicts: self.u64(&["bpred", "indirect_mispredicts"])?,
+            },
+            mem: HierarchyStats {
+                il1: self.cache_stats("il1")?,
+                dl1: self.cache_stats("dl1")?,
+                l2: self.cache_stats("l2")?,
+                memory_accesses: self.u64(&["mem", "memory_accesses"])?,
+            },
+            int_rf: self.access_stats("int_rf")?,
+            fp_rf: self.access_stats("fp_rf")?,
+            long_mean_live: self.f64_bits(&["long_mean_live_bits"])?,
+            long_peak_live: self.usize(&["long_peak_live"])?,
+            short_mean_occupancy: self.f64_bits(&["short_mean_occupancy_bits"])?,
+            long_occupancy_hist: self.u64_array(&["long_occupancy_hist"])?,
+            dest_class_matches: self.u64(&["dest_class_matches"])?,
+            dest_class_total: self.u64(&["dest_class_total"])?,
+            stl_forwards: self.u64(&["stl_forwards"])?,
+            rf_read_port_denials: self.u64(&["rf_read_port_denials"])?,
+            int_fu_denials: self.u64(&["int_fu_denials"])?,
+            fp_fu_denials: self.u64(&["fp_fu_denials"])?,
+            lsq_wait_events: self.u64(&["lsq_wait_events"])?,
+            lsq_peak: self.usize(&["lsq_peak"])?,
+        })
+    }
 }
 
-/// Deserializes a [`stats_to_json`] record.
+fn missing(name: Name) -> String {
+    format!("missing field `{}`", name.join("."))
+}
+
+/// Deserializes a [`stats_to_json`] record, in one pass over its text
+/// whatever the field order.
 ///
 /// # Errors
 ///
 /// A message naming the first missing or malformed field; a wrong codec
-/// version fails immediately (stale cache entries are treated as misses).
+/// version fails immediately (stale cache entries are treated as misses),
+/// and so does a record whose object is not well formed and closed.
 pub fn stats_from_json(rec: &str) -> Result<SimStats, String> {
-    let v = get_u64(rec, "v")?;
-    if v != STATS_CODEC_VERSION {
-        return Err(format!("codec version {v}, expected {STATS_CODEC_VERSION}"));
-    }
-    Ok(SimStats {
-        cycles: get_u64(rec, "cycles")?,
-        committed: get_u64(rec, "committed")?,
-        loads: get_u64(rec, "loads")?,
-        stores: get_u64(rec, "stores")?,
-        branches: get_u64(rec, "branches")?,
-        fp_ops: get_u64(rec, "fp_ops")?,
-        fetched: get_u64(rec, "fetched")?,
-        squashed: get_u64(rec, "squashed")?,
-        mispredicts: get_u64(rec, "mispredicts")?,
-        deadlock_recoveries: get_u64(rec, "deadlock_recoveries")?,
-        long_guard_stall_cycles: get_u64(rec, "long_guard_stall_cycles")?,
-        bypassed_operands: get_u64(rec, "bypassed_operands")?,
-        rf_operands: get_u64(rec, "rf_operands")?,
-        zero_operands: get_u64(rec, "zero_operands")?,
-        wb_long_retries: get_u64(rec, "wb_long_retries")?,
-        load_replays: get_u64(rec, "load_replays")?,
-        mem_dep_violations: get_u64(rec, "mem_dep_violations")?,
-        dispatch_stalls: DispatchStalls {
-            rob: get_u64(rec, "dispatch_stalls.rob")?,
-            pregs: get_u64(rec, "dispatch_stalls.pregs")?,
-            lsq: get_u64(rec, "dispatch_stalls.lsq")?,
-            iq: get_u64(rec, "dispatch_stalls.iq")?,
-            checkpoints: get_u64(rec, "dispatch_stalls.checkpoints")?,
-        },
-        operand_mix: OperandMix {
-            only_simple: get_u64(rec, "operand_mix.only_simple")?,
-            only_short: get_u64(rec, "operand_mix.only_short")?,
-            only_long: get_u64(rec, "operand_mix.only_long")?,
-            simple_short: get_u64(rec, "operand_mix.simple_short")?,
-            simple_long: get_u64(rec, "operand_mix.simple_long")?,
-            short_long: get_u64(rec, "operand_mix.short_long")?,
-        },
-        oracle: OracleData {
-            values: get_group(rec, "oracle.values")?,
-            sim_d8: get_group(rec, "oracle.sim_d8")?,
-            sim_d12: get_group(rec, "oracle.sim_d12")?,
-            sim_d16: get_group(rec, "oracle.sim_d16")?,
-            live_sum: get_u64(rec, "oracle.live_sum")?,
-            snapshots: get_u64(rec, "oracle.snapshots")?,
-        },
-        bpred: BpredStats {
-            cond_predictions: get_u64(rec, "bpred.cond_predictions")?,
-            cond_mispredicts: get_u64(rec, "bpred.cond_mispredicts")?,
-            indirect_predictions: get_u64(rec, "bpred.indirect_predictions")?,
-            indirect_mispredicts: get_u64(rec, "bpred.indirect_mispredicts")?,
-        },
-        mem: HierarchyStats {
-            il1: get_cache_stats(rec, "mem.il1")?,
-            dl1: get_cache_stats(rec, "mem.dl1")?,
-            l2: get_cache_stats(rec, "mem.l2")?,
-            memory_accesses: get_u64(rec, "mem.memory_accesses")?,
-        },
-        int_rf: get_access_stats(rec, "int_rf")?,
-        fp_rf: get_access_stats(rec, "fp_rf")?,
-        long_mean_live: get_f64_bits(rec, "long_mean_live_bits")?,
-        long_peak_live: get_usize(rec, "long_peak_live")?,
-        short_mean_occupancy: get_f64_bits(rec, "short_mean_occupancy_bits")?,
-        long_occupancy_hist: get_u64_array(rec, "long_occupancy_hist")?,
-        dest_class_matches: get_u64(rec, "dest_class_matches")?,
-        dest_class_total: get_u64(rec, "dest_class_total")?,
-        stl_forwards: get_u64(rec, "stl_forwards")?,
-        rf_read_port_denials: get_u64(rec, "rf_read_port_denials")?,
-        int_fu_denials: get_u64(rec, "int_fu_denials")?,
-        fp_fu_denials: get_u64(rec, "fp_fu_denials")?,
-        lsq_wait_events: get_u64(rec, "lsq_wait_events")?,
-        lsq_peak: get_usize(rec, "lsq_peak")?,
-    })
+    Reader::new(rec)?.stats()
 }
 
 #[cfg(test)]
@@ -449,6 +514,129 @@ mod tests {
         let truncated = json.replacen("\"cycles\":0,", "", 1);
         assert!(stats_from_json(&truncated).unwrap_err().contains("cycles"));
         assert!(stats_from_json("{}").is_err());
+    }
+
+    /// Rebuilds a record from `(key, raw value)` pairs with the given
+    /// separators around each colon and comma.
+    fn record(fields: &[(String, String)], pad: &str) -> String {
+        let body: Vec<String> =
+            fields.iter().map(|(k, v)| format!("{pad}\"{k}\"{pad}:{pad}{v}{pad}")).collect();
+        format!("{{{}}}", body.join(","))
+    }
+
+    fn canonical_fields(s: &SimStats) -> Vec<(String, String)> {
+        let text = stats_to_json(s);
+        let fields = JsonFields::parse(&text).expect("encoder output is well formed");
+        fields
+            .as_slice()
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.expect("no empty values").to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn encoder_order_decodes_on_the_in_order_path() {
+        let json = stats_to_json(&busy_stats());
+        let mut reader = Reader::new(&json).unwrap();
+        assert_eq!(reader.stats().unwrap(), busy_stats());
+        assert!(reader.in_order, "a canonical record never falls back to by-name lookup");
+        assert_eq!(reader.next, reader.fields.as_slice().len(), "every field consumed in turn");
+    }
+
+    #[test]
+    fn any_field_order_whitespace_and_extra_fields_decode_the_same() {
+        let s = busy_stats();
+        let mut fields = canonical_fields(&s);
+        fields.reverse();
+        fields.rotate_left(17);
+        // Unknown fields, including ones whose nested or string contents
+        // spell out real keys, are skipped.
+        fields.insert(5, ("zz_unknown".into(), r#"[1,{"cycles":5},"x"]"#.into()));
+        fields.insert(9, ("note".into(), r#""\"cycles\":7, }""#.into()));
+        let shuffled = record(&fields, " \n\t ");
+        let back = stats_from_json(&shuffled).expect("shuffled record decodes");
+        assert_eq!(
+            stats_to_json(&back),
+            stats_to_json(&s),
+            "bit-identical to the canonical decode"
+        );
+
+        // A duplicated field: the first occurrence wins, as with `json_field`.
+        let mut dup = canonical_fields(&s);
+        let at = dup.iter().position(|(k, _)| k == "cycles").unwrap();
+        dup.insert(at + 1, ("cycles".into(), "1".into()));
+        assert_eq!(stats_from_json(&record(&dup, "")).unwrap(), s);
+        let mut early = canonical_fields(&s);
+        early.insert(1, ("committed".into(), "5".into()));
+        let back = stats_from_json(&record(&early, "")).unwrap();
+        assert_eq!(back, SimStats { committed: 5, ..s.clone() });
+        // An empty first occurrence is a missing field, not a fallback to
+        // the second.
+        let mut empty = canonical_fields(&s);
+        empty.insert(1, ("cycles".into(), String::new()));
+        assert!(stats_from_json(&record(&empty, "")).unwrap_err().contains("cycles"));
+    }
+
+    #[test]
+    fn truncated_or_malformed_records_are_errors() {
+        let json = stats_to_json(&busy_stats());
+        for cut in 0..json.len() {
+            assert!(stats_from_json(&json[..cut]).is_err(), "prefix of {cut} bytes decoded");
+        }
+        assert!(stats_from_json(&json.replacen(",\"loads\"", ",loads", 1)).is_err());
+        assert!(stats_from_json(&json.replacen("\"cycles\":", "\"cycles\" ", 1)).is_err());
+    }
+
+    /// A raw field value: zero, `u64::MAX`, NaN and `-0.0` bit patterns, or
+    /// random bits.
+    fn extreme(pick: u8, bits: u64) -> u64 {
+        match pick {
+            0 => 0,
+            1 => u64::MAX,
+            2 => f64::NAN.to_bits() | (bits & 0xf_ffff), // a NaN with a payload
+            3 => (-0.0f64).to_bits(),
+            4 => bits >> (bits % 64),
+            _ => bits,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Every field of a record set to an extreme or random value, with
+        /// an empty, full-size (65-bin) or random-length Long histogram:
+        /// decoding and re-encoding gives back the same bytes, so no field
+        /// is lost, moved or rounded.
+        #[test]
+        fn extreme_values_round_trip_bit_exactly(
+            picks in proptest::collection::vec((0u8..6, proptest::any::<u64>()), 200..201),
+            hist_len in proptest::prop_oneof![
+                proptest::Just(0usize),
+                proptest::Just(65usize),
+                0usize..66
+            ],
+        ) {
+            let mut words = picks.iter().map(|(p, b)| extreme(*p, *b));
+            let mut fields = Vec::new();
+            for (key, value) in canonical_fields(&SimStats::default()) {
+                let value = if key == "v" {
+                    value
+                } else if value.starts_with('[') {
+                    let len = if key == "long_occupancy_hist" { hist_len } else { NUM_GROUPS + 2 };
+                    let items: Vec<String> = (0..len)
+                        .map(|_| words.next().unwrap_or(7).to_string())
+                        .collect();
+                    format!("[{}]", items.join(","))
+                } else {
+                    words.next().unwrap_or(u64::MAX).to_string()
+                };
+                fields.push((key, value));
+            }
+            let text = record(&fields, "");
+            let stats = stats_from_json(&text).expect("random record decodes");
+            proptest::prop_assert_eq!(stats_to_json(&stats), text);
+            proptest::prop_assert_eq!(stats.long_occupancy_hist.len(), hist_len);
+        }
     }
 
     #[test]

@@ -252,11 +252,10 @@ impl<T: Tracer> MultiSim<T> {
                 // Grant the `slots` active contexts with the fewest
                 // instructions in flight; ties break toward lower index
                 // (deterministic). N is tiny, so a selection scan beats
-                // sorting machinery.
-                let mut picked = vec![false; n];
+                // sorting machinery; the grants double as the picked set.
                 while granted < slots {
                     let mut best: Option<(usize, usize)> = None;
-                    for (i, taken) in picked.iter().enumerate() {
+                    for (i, taken) in grants.iter().enumerate() {
                         if self.done[i] || *taken {
                             continue;
                         }
@@ -266,7 +265,6 @@ impl<T: Tracer> MultiSim<T> {
                         }
                     }
                     let Some((i, _)) = best else { break };
-                    picked[i] = true;
                     grants[i] = true;
                     granted += 1;
                 }
@@ -290,6 +288,17 @@ impl<T: Tracer> MultiSim<T> {
     ///
     /// Propagates any context's [`SimError`].
     pub fn step(&mut self, per_thread_insts: u64) -> Result<(), SimError> {
+        self.cycle(per_thread_insts, true)
+    }
+
+    /// One shared-clock cycle. Every context stepped in it has its
+    /// statistics refreshed when `finalize_all` is set (the per-cycle
+    /// contract of [`MultiSim::step`]); otherwise only a context that has
+    /// just finished, so that it is never stepped again. Either way the
+    /// refresh comes right after the context's own step, before any
+    /// co-runner steps: shared-L2 counters then read as they did at that
+    /// point of the cycle.
+    fn cycle(&mut self, per_thread_insts: u64, finalize_all: bool) -> Result<(), SimError> {
         self.arbitrate_fetch();
         // Competitive Long sharing: window every context to the physical
         // array minus the co-runners' live entries, all computed from the
@@ -316,13 +325,17 @@ impl<T: Tracer> MultiSim<T> {
                 continue;
             }
             let sim = &mut self.ctxs[i];
-            sim.step_cycle()?;
+            sim.advance_cycle()?;
             if self.policy.shared_long_capacity.is_some() {
                 let now = sim.int_regfile().long_live_count();
                 self.total_live = self.total_live - self.live[i] + now;
                 self.live[i] = now;
             }
-            if sim.is_halted() || sim.stats().committed >= per_thread_insts {
+            let finished = sim.is_halted() || sim.stats().committed >= per_thread_insts;
+            if finished || finalize_all {
+                sim.finalize_stats();
+            }
+            if finished {
                 self.done[i] = true;
                 self.finish_cycle[i] = self.cycles + 1;
             }
@@ -343,8 +356,11 @@ impl<T: Tracer> MultiSim<T> {
         max_cycles: u64,
         per_thread_insts: u64,
     ) -> Result<Vec<MultiThreadResult>, SimError> {
+        // A context's statistics are refreshed once, after the last cycle
+        // it steps in: the cycle it finishes, or the final cycle when the
+        // clock runs out. The values are those of per-cycle refreshing.
         while self.cycles < max_cycles && self.done.iter().any(|d| !d) {
-            self.step(per_thread_insts)?;
+            self.cycle(per_thread_insts, self.cycles + 1 == max_cycles)?;
         }
         Ok(self.results())
     }
@@ -624,6 +640,54 @@ mod tests {
                 "context {i} diverged architecturally under sharing"
             );
             assert_eq!(shared.ctx(i).retired(), solo.retired(), "context {i}");
+        }
+    }
+
+    /// `run` refreshes a context's statistics only after the last cycle it
+    /// steps in; the reference drives the same co-simulation through
+    /// `step`, which refreshes every stepped context every cycle. Every
+    /// statistic of every context must agree, including the aggregate
+    /// shared-L2 counters a co-runner keeps changing after a context stops.
+    #[test]
+    fn run_finalizes_each_context_as_per_cycle_stepping_does() {
+        // The co-runner with the most L2 traffic steps last, and tiny caches
+        // send most of it to the shared L2: a context refreshed after its
+        // co-runners step, not right after its own step, would show their
+        // accesses in its L2 counters.
+        let progs = programs(&["sort_kernel", "hash_table", "pointer_chase"]);
+        let cfgs = [
+            carf_cfg(),
+            SimConfig::paper_compressed(CarfParams::paper_default()),
+            SimConfig::paper_baseline(),
+        ]
+        .map(|mut c| {
+            c.hierarchy = carf_mem::HierarchyConfig::tiny();
+            c
+        });
+        let policy = SharingPolicy {
+            shared_long_capacity: Some(44),
+            shared_l2: true,
+            fetch: FetchArbitration::ICount { slots: 2 },
+        };
+        let build =
+            || MultiSim::new(cfgs.iter().cloned().zip(progs.iter()).collect(), policy).unwrap();
+        // Quotas that finish the contexts on different cycles, then a clock
+        // ceiling that cuts every context short.
+        for (max_cycles, per_thread) in
+            [(600_000u64, 1_000u64), (600_000, 6_000), (3_001, 1_000_000)]
+        {
+            let mut ran = build();
+            let results = ran.run(max_cycles, per_thread).unwrap();
+            let mut stepped = build();
+            while stepped.cycles() < max_cycles && !stepped.all_done() {
+                stepped.step(per_thread).unwrap();
+            }
+            assert_eq!(ran.all_done(), max_cycles == 600_000, "the cut run is cut");
+            assert_eq!(results, stepped.results());
+            assert_eq!(ran.contention(), stepped.contention());
+            for i in 0..progs.len() {
+                assert_eq!(ran.ctx(i).stats(), stepped.ctx(i).stats(), "context {i}");
+            }
         }
     }
 

@@ -164,6 +164,16 @@ impl<T: Tracer> AnySimulator<T> {
         dispatch!(self, sim => sim.step_cycle())
     }
 
+    /// See [`Simulator::advance_cycle`].
+    pub(crate) fn advance_cycle(&mut self) -> Result<(), SimError> {
+        dispatch!(self, sim => sim.advance_cycle())
+    }
+
+    /// See [`Simulator::finalize_stats`].
+    pub(crate) fn finalize_stats(&mut self) {
+        dispatch!(self, sim => sim.finalize_stats())
+    }
+
     /// See [`Simulator::stats`].
     pub fn stats(&self) -> &SimStats {
         dispatch!(self, sim => sim.stats())

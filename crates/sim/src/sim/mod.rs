@@ -873,13 +873,24 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         if self.halted {
             return Ok(());
         }
+        self.advance_cycle()?;
+        // Keep aggregate statistics current for harnesses that read them
+        // between steps.
+        self.finalize_stats();
+        Ok(())
+    }
+
+    /// [`Simulator::step_cycle`] without refreshing the aggregate
+    /// statistics: a caller that reads them only at the end calls
+    /// [`Simulator::finalize_stats`] once instead of every cycle.
+    pub(crate) fn advance_cycle(&mut self) -> Result<(), SimError> {
+        if self.halted {
+            return Ok(());
+        }
         self.cycle()?;
         if self.now.saturating_sub(self.last_commit_cycle) > self.config.watchdog_cycles {
             return Err(SimError::Watchdog { cycle: self.now });
         }
-        // Keep aggregate statistics current for harnesses that read them
-        // between steps.
-        self.finalize_stats();
         Ok(())
     }
 
@@ -982,7 +993,9 @@ impl<R: IntRegFile, T: Tracer> Simulator<R, T> {
         self.bpred = warm.bpred.clone();
     }
 
-    fn finalize_stats(&mut self) {
+    /// Copies the counters kept by the register files, caches, predictor,
+    /// LSQ and functional units into [`SimStats`].
+    pub(crate) fn finalize_stats(&mut self) {
         self.stats.bpred = *self.bpred.stats();
         self.stats.mem = self.hier.stats();
         self.stats.int_rf = *self.int_rf.stats();

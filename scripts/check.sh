@@ -103,6 +103,12 @@ echo "==> scheduler hot-loop microbench (informational)"
 cargo bench -q -p carf-bench --bench sim_hotloop -- --sample-size 10 \
     | grep -E "time:|sim_hotloop/" || true
 
+echo "==> cache I/O microbench (informational)"
+# A warm result-cache hit by part: the point's key, the entry file read,
+# the whole lookup, and the statistics codec both ways. Informational like
+# sim_hotloop: no threshold, but a crash (a panicking lookup) fails here.
+cargo bench -q -p carf-bench --bench cache_io
+
 echo "==> headline throughput (quick budget, jobs=1)"
 CARF_RESULTS_DIR="$(mktemp -d)" \
     cargo run --release -q -p carf-bench --bin bench_kips -- \
